@@ -98,19 +98,53 @@ class Bus:
         """Reset per-instruction contention state; called by the CPU."""
         self._fram_touches = 0
 
-    def _fram_read_timing(self, address):
-        if self._fram_touches:
-            self.counters.stall_cycles += self.contention_penalty
-        self._fram_touches += 1
-        if not self.fram_cache.access(address):
-            self.counters.stall_cycles += self.wait_states
+    def _fram_read_timing(self, address, words=1):
+        """Contention and wait states of *words* consecutive FRAM reads.
+
+        The hardware read cache's line lookup is inlined here (this is
+        the simulator's hottest loop); it moves the same LRU lines and
+        hit/miss tallies :meth:`FramReadCache.access` does.
+        """
+        cache = self.fram_cache
+        lines = cache._lines
+        line_bytes = cache.line_bytes
+        touches = self._fram_touches
+        stalls = 0
+        for address in range(address, address + 2 * words, 2):
+            if touches:
+                stalls += self.contention_penalty
+            touches += 1
+            tag = address // line_bytes
+            ways = lines[tag % cache.sets]
+            if ways and ways[-1] == tag:
+                cache.hits += 1
+            elif tag in ways:
+                ways.remove(tag)
+                ways.append(tag)
+                cache.hits += 1
+            else:
+                cache.misses += 1
+                ways.append(tag)
+                if len(ways) > cache.ways:
+                    del ways[0]
+                stalls += self.wait_states
+        self._fram_touches = touches
+        self.counters.stall_cycles += stalls
 
     def _fram_write_timing(self, address):
+        """Contention, wait states, and the written line's invalidation
+        (inlined :meth:`FramReadCache.invalidate`)."""
+        stalls = self.wait_states
         if self._fram_touches:
-            self.counters.stall_cycles += self.contention_penalty
+            stalls += self.contention_penalty
         self._fram_touches += 1
-        self.counters.stall_cycles += self.wait_states
-        self.fram_cache.invalidate(address)
+        self.counters.stall_cycles += stalls
+        cache = self.fram_cache
+        tag = address // cache.line_bytes
+        ways = cache._lines[tag % cache.sets]
+        if tag in ways:
+            ways.remove(tag)
+            cache.invalidates += 1
 
     # -- instruction fetch -------------------------------------------------------
 
@@ -132,8 +166,7 @@ class Bus:
         kind = self._kinds[address & 0xFFFF]
         self.counters.record_fetch(self.attribution, kind, words)
         if kind is RegionKind.FRAM:
-            for index in range(words):
-                self._fram_read_timing(address + 2 * index)
+            self._fram_read_timing(address, words)
 
     # -- data access ----------------------------------------------------------------
 

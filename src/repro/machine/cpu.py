@@ -1,10 +1,25 @@
 """MSP430 CPU executor.
 
-Fetches and decodes real instruction words from simulated memory on
-every step (with a snapshot-validated decode cache so self-modifying
-code -- the heart of SwapRAM -- stays correct), executes them with
-faithful flag semantics, and accounts unstalled cycles and per-region
-instruction counts.
+Fetches and decodes real instruction words from simulated memory,
+executes them with faithful flag semantics, and accounts unstalled
+cycles and per-region instruction counts.
+
+**Decode cache.** The first time an address executes, its instruction
+is decoded (every word fetched through the bus) and compiled by
+:func:`compile_instruction` into a closure with the operand modes, jump
+condition and flag updates worked out; the entry also holds the retire
+region and cycle cost. Later executions reuse the entry only while the
+instruction's bytes in memory still equal the snapshot taken at decode,
+so self-modifying code -- the heart of SwapRAM -- stays correct, and
+they charge the same fetches through ``bus.account_fetch``.
+
+**Probes.** Closures and :meth:`Cpu.step`/:meth:`Cpu.run` look up
+``bus.read``/``write``/``fetch_word``/``account_fetch``/
+``begin_instruction``, ``counters.record_*`` and ``cpu.step`` on the
+instance at call time and never bind them at decode time, so observers
+that replace those attributes (trace capture, ``TraceLog``, the obs
+collector, fused counters) see every access, even when attached to a
+warm decode cache.
 
 **Native hooks** are the semihosting mechanism used to host the cache
 runtimes: when the PC lands on a hooked address the registered callable
@@ -13,8 +28,16 @@ bus and are responsible for charging their own modelled cycles and
 setting the continuation PC.
 """
 
+from functools import partial
+
 from repro.isa.cycles import instruction_cycles
 from repro.isa.encoding import EncodingError, decode_instruction
+from repro.isa.instructions import (
+    FORMAT_I_OPCODES,
+    JUMP_CONDITIONS,
+    JUMP_MNEMONICS,
+    NO_WRITEBACK,
+)
 from repro.isa.operands import AddressingMode
 from repro.isa.registers import PC, SP, SR
 from repro.machine.bus import BusError
@@ -23,6 +46,9 @@ _FLAG_C = 0x0001
 _FLAG_Z = 0x0002
 _FLAG_N = 0x0004
 _FLAG_V = 0x0100
+#: SR with N, Z, C and V cleared (and the register kept to 16 bits).
+_CLEAR_NZCV = 0xFFFF & ~(_FLAG_N | _FLAG_Z | _FLAG_C | _FLAG_V)
+_CLEAR_NZC = 0xFFFF & ~(_FLAG_N | _FLAG_Z | _FLAG_C)
 
 
 class SimulationError(Exception):
@@ -39,6 +65,33 @@ class RunawayError(SimulationError):
     """
 
 
+class Decoded:
+    """One decode-cache entry: a compiled instruction and its retire cost."""
+
+    __slots__ = (
+        "snapshot",
+        "length",
+        "words",
+        "next_pc",
+        "execute",
+        "region",
+        "cycles",
+        "instruction",
+    )
+
+    def __init__(self, pc, length, snapshot, instruction, region):
+        #: The instruction's bytes at decode; a hit must still match them.
+        self.snapshot = snapshot
+        self.length = length
+        self.words = length // 2
+        self.next_pc = (pc + length) & 0xFFFF
+        self.execute = compile_instruction(instruction)
+        #: Region kind of the instruction's address: where it retires.
+        self.region = region
+        self.cycles = instruction_cycles(instruction)
+        self.instruction = instruction
+
+
 class Cpu:
     """A single MSP430 core attached to a :class:`~repro.machine.bus.Bus`."""
 
@@ -51,71 +104,11 @@ class Cpu:
         #: Cache runtimes use this to identify the branch that entered a
         #: stub (for block chaining) without any architectural support.
         self.pc_history = [0, 0, 0]
-        self._decode_cache = {}
-
-    # -- status flags ----------------------------------------------------------
-
-    def _set_flags(self, n=None, z=None, c=None, v=None):
-        sr = self.regs[SR]
-        for bit, value in ((_FLAG_N, n), (_FLAG_Z, z), (_FLAG_C, c), (_FLAG_V, v)):
-            if value is None:
-                continue
-            sr = (sr | bit) if value else (sr & ~bit)
-        self.regs[SR] = sr & 0xFFFF
+        self._decode_cache = {}  # pc -> Decoded
 
     def flag(self, name):
         bit = {"C": _FLAG_C, "Z": _FLAG_Z, "N": _FLAG_N, "V": _FLAG_V}[name]
         return 1 if self.regs[SR] & bit else 0
-
-    # -- operand plumbing ---------------------------------------------------------
-
-    def _operand_address(self, operand):
-        """Memory address an operand refers to (memory modes only)."""
-        mode = operand.mode
-        if mode is AddressingMode.INDEXED:
-            return (self.regs[operand.register] + operand.value) & 0xFFFF
-        if mode in (AddressingMode.ABSOLUTE, AddressingMode.SYMBOLIC):
-            return operand.value & 0xFFFF
-        if mode in (AddressingMode.INDIRECT, AddressingMode.AUTOINC):
-            return self.regs[operand.register] & 0xFFFF
-        raise SimulationError(f"operand has no address: {operand}")
-
-    def _read_source(self, operand, byte):
-        mode = operand.mode
-        if mode is AddressingMode.REGISTER:
-            value = self.regs[operand.register]
-            return value & 0xFF if byte else value & 0xFFFF
-        if mode is AddressingMode.IMMEDIATE:
-            value = operand.value & 0xFFFF
-            return value & 0xFF if byte else value
-        address = self._operand_address(operand)
-        value = self.bus.read(address, byte=byte)
-        if mode is AddressingMode.AUTOINC:
-            register = operand.register
-            step = 2 if (not byte or register in (PC, SP)) else 1
-            self.regs[register] = (self.regs[register] + step) & 0xFFFF
-        return value
-
-    def _dest_ref(self, operand):
-        """Resolve a destination once: ('reg', n) or ('mem', address)."""
-        if operand.mode is AddressingMode.REGISTER:
-            return ("reg", operand.register)
-        return ("mem", self._operand_address(operand))
-
-    def _read_dest(self, ref, byte):
-        kind, where = ref
-        if kind == "reg":
-            value = self.regs[where]
-            return value & 0xFF if byte else value & 0xFFFF
-        return self.bus.read(where, byte=byte)
-
-    def _write_dest(self, ref, value, byte):
-        kind, where = ref
-        if kind == "reg":
-            # Byte operations clear the destination register's high byte.
-            self.regs[where] = (value & 0xFF) if byte else (value & 0xFFFF)
-        else:
-            self.bus.write(where, value, byte=byte)
 
     # -- execution ------------------------------------------------------------------
 
@@ -124,7 +117,8 @@ class Cpu:
         bus = self.bus
         if bus.halted:
             return False
-        pc = self.regs[PC]
+        regs = self.regs
+        pc = regs[PC]
 
         hook = self.hooks.get(pc)
         if hook is not None:
@@ -134,38 +128,47 @@ class Cpu:
         history = self.pc_history
         history[0], history[1], history[2] = pc, history[0], history[1]
         bus.begin_instruction()
-        memory_data = bus.memory.data
-        cached = self._decode_cache.get(pc)
-        if cached is not None and memory_data[pc : pc + cached[2]] == cached[0]:
-            _snapshot, instruction, length, cycles = cached
-            bus.account_fetch(pc, length // 2)
+        decoded = self._decode_cache.get(pc)
+        if (
+            decoded is not None
+            and bus.memory.data[pc : pc + decoded.length] == decoded.snapshot
+        ):
+            bus.account_fetch(pc, decoded.words)
         else:
-            try:
-                instruction, length = decode_instruction(bus.fetch_word, pc)
-            except (EncodingError, BusError) as error:
-                raise SimulationError(f"at PC={pc:#06x}: {error}") from error
-            cycles = instruction_cycles(instruction)
-            snapshot = bytes(memory_data[pc : pc + length])
-            self._decode_cache[pc] = (snapshot, instruction, length, cycles)
+            decoded = self._decode(pc)
 
-        self.regs[PC] = (pc + length) & 0xFFFF
+        regs[PC] = decoded.next_pc
         try:
-            self._dispatch(instruction)
+            decoded.execute(regs, bus)
         except BusError as error:
             raise SimulationError(
-                f"at PC={pc:#06x} ({instruction}): {error}"
+                f"at PC={pc:#06x} ({decoded.instruction}): {error}"
             ) from error
-        bus.counters.record_instruction(
-            bus.attribution, bus.memory_map.kind_at(pc), cycles
-        )
+        bus.counters.record_instruction(bus.attribution, decoded.region, decoded.cycles)
         self.instructions_retired += 1
         return not bus.halted
+
+    def _decode(self, pc):
+        """Decode-cache miss: fetch every word through the bus, compile."""
+        bus = self.bus
+        try:
+            instruction, length = decode_instruction(bus.fetch_word, pc)
+        except (EncodingError, BusError) as error:
+            raise SimulationError(f"at PC={pc:#06x}: {error}") from error
+        decoded = Decoded(
+            pc,
+            length,
+            bytes(bus.memory.data[pc : pc + length]),
+            instruction,
+            bus.memory_map.kind_at(pc),
+        )
+        self._decode_cache[pc] = decoded
+        return decoded
 
     def run(self, max_instructions=50_000_000):
         """Run until the program halts; guard against runaways."""
         remaining = max_instructions
-        step = self.step
-        while step():
+        while self.step():
             remaining -= 1
             if remaining <= 0:
                 raise RunawayError(
@@ -205,223 +208,429 @@ class Cpu:
         self._decode_cache.clear()
         return self
 
-    # -- instruction semantics ----------------------------------------------------
 
-    def _dispatch(self, instruction):
-        name = instruction.mnemonic
-        if instruction.is_jump:
-            self._jump(name, instruction.target)
-            return
-        handler = _EXECUTORS.get(name)
-        if handler is None:
-            raise SimulationError(f"unimplemented instruction: {name}")
-        handler(self, instruction)
+# -- instruction semantics ---------------------------------------------------------
+#
+# compile_instruction() turns an Instruction into ``execute(regs, bus)``.
+# Operand readers, address locators and ALUs are closures built once per
+# decode; an ALU maps ``(source, dest, sr)`` (or ``(value, sr)`` for
+# single-operand ops) to ``(result, sr)`` with the flag updates applied.
 
-    def _jump(self, name, target):
-        taken = {
-            "JNE": lambda: not self.flag("Z"),
-            "JEQ": lambda: self.flag("Z"),
-            "JNC": lambda: not self.flag("C"),
-            "JC": lambda: self.flag("C"),
-            "JN": lambda: self.flag("N"),
-            "JGE": lambda: not (self.flag("N") ^ self.flag("V")),
-            "JL": lambda: self.flag("N") ^ self.flag("V"),
-            "JMP": lambda: True,
-        }[name]()
-        if taken:
-            self.regs[PC] = target & 0xFFFF
 
-    # Format I -------------------------------------------------------------------
+def compile_instruction(instruction):
+    """Compile *instruction* into ``execute(regs, bus)``.
 
-    def _binary_setup(self, instruction):
-        byte = instruction.byte
-        source = self._read_source(instruction.src, byte)
-        ref = self._dest_ref(instruction.dst)
-        dest = self._read_dest(ref, byte)
-        return byte, source, ref, dest
+    ``regs[PC]`` already holds the next instruction's address when the
+    closure runs, as on the hardware. All memory traffic goes through
+    *bus* methods looked up at call time.
+    """
+    name = instruction.mnemonic
+    if name in JUMP_CONDITIONS:
+        condition = JUMP_MNEMONICS[JUMP_CONDITIONS[name]]
+        return _jump(condition, instruction.target & 0xFFFF)
+    if name in FORMAT_I_OPCODES:
+        return _format_i(instruction)
+    if name in _UNARY_ALUS:
+        return _unary(instruction)
+    if name == "PUSH":
+        return _push(instruction)
+    if name == "CALL":
+        return _call(instruction)
+    if name == "RETI":
+        return _reti
+    raise SimulationError(f"unimplemented instruction: {name}")
 
-    def _finish_arith(self, instruction, ref, result, byte):
-        mask = 0xFF if byte else 0xFFFF
-        self._write_dest(ref, result & mask, byte)
 
-    def _add_like(self, instruction, carry_in):
-        byte, source, ref, dest = self._binary_setup(instruction)
-        mask = 0xFF if byte else 0xFFFF
-        msb = 0x80 if byte else 0x8000
-        total = source + dest + carry_in
+def _width(byte):
+    """``(mask, msb)`` of a byte or word operation."""
+    return (0xFF, 0x80) if byte else (0xFFFF, 0x8000)
+
+
+# Operands -------------------------------------------------------------------------
+
+
+def _reader(operand, byte):
+    """``read(regs, bus)``: a source operand's value, autoincrement included."""
+    mode = operand.mode
+    register = operand.register
+    mask = _width(byte)[0]
+    if mode is AddressingMode.REGISTER:
+        return lambda regs, bus: regs[register] & mask
+    if mode is AddressingMode.IMMEDIATE:
+        value = operand.value & mask
+        return lambda regs, bus: value
+    if mode is AddressingMode.INDEXED:
+        offset = operand.value
+        return lambda regs, bus: bus.read((regs[register] + offset) & 0xFFFF, byte)
+    if mode in (AddressingMode.ABSOLUTE, AddressingMode.SYMBOLIC):
+        address = operand.value & 0xFFFF
+        return lambda regs, bus: bus.read(address, byte)
+    if mode is AddressingMode.INDIRECT:
+        return lambda regs, bus: bus.read(regs[register] & 0xFFFF, byte)
+    step = 2 if (not byte or register in (PC, SP)) else 1
+
+    def read_autoinc(regs, bus):
+        value = bus.read(regs[register] & 0xFFFF, byte)
+        regs[register] = (regs[register] + step) & 0xFFFF
+        return value
+
+    return read_autoinc
+
+
+def _locator(operand):
+    """``locate(regs)``: the address a memory operand names (no side effects)."""
+    mode = operand.mode
+    register = operand.register
+    if mode is AddressingMode.INDEXED:
+        offset = operand.value
+        return lambda regs: (regs[register] + offset) & 0xFFFF
+    if mode in (AddressingMode.ABSOLUTE, AddressingMode.SYMBOLIC):
+        address = operand.value & 0xFFFF
+        return lambda regs: address
+    if mode in (AddressingMode.INDIRECT, AddressingMode.AUTOINC):
+        return lambda regs: regs[register] & 0xFFFF
+
+    def no_address(regs):
+        raise SimulationError(f"operand has no address: {operand}")
+
+    return no_address
+
+
+# Format I -------------------------------------------------------------------------
+
+
+def _add_alu(byte, carry, subtract):
+    """ADD/ADDC, or SUB/SUBC/CMP when *subtract*; *carry* takes the
+    carry-in from C.
+
+    Subtraction is addition of the one's complement with carry-in 1, as
+    in the hardware, which is why C after a subtraction means "no
+    borrow".
+    """
+    mask, msb = _width(byte)
+    invert = mask if subtract else 0
+    carry_in = 1 if subtract else 0
+
+    def alu(source, dest, sr):
+        source ^= invert
+        total = source + dest + ((sr & _FLAG_C) if carry else carry_in)
         result = total & mask
-        overflow = bool(~(source ^ dest) & (source ^ result) & msb)
-        self._set_flags(
-            n=bool(result & msb), z=result == 0, c=total > mask, v=overflow
+        return result, (
+            (sr & _CLEAR_NZCV)
+            | (_FLAG_N if result & msb else 0)
+            | (0 if result else _FLAG_Z)
+            | (_FLAG_C if total > mask else 0)
+            | (_FLAG_V if ~(source ^ dest) & (source ^ result) & msb else 0)
         )
-        self._write_dest(ref, result, byte)
 
-    def _sub_like(self, instruction, carry_in, writeback):
-        byte, source, ref, dest = self._binary_setup(instruction)
-        mask = 0xFF if byte else 0xFFFF
-        msb = 0x80 if byte else 0x8000
-        total = dest + ((~source) & mask) + carry_in
-        result = total & mask
-        overflow = bool((dest ^ source) & (dest ^ result) & msb)
-        self._set_flags(
-            n=bool(result & msb), z=result == 0, c=total > mask, v=overflow
-        )
-        if writeback:
-            self._write_dest(ref, result, byte)
+    return alu
 
-    def _exec_mov(self, instruction):
-        byte = instruction.byte
-        source = self._read_source(instruction.src, byte)
-        ref = self._dest_ref(instruction.dst)
-        self._write_dest(ref, source, byte)
 
-    def _exec_add(self, instruction):
-        self._add_like(instruction, 0)
+def _dadd_alu(byte):
+    """DADD: BCD addition digit by digit; V is left alone."""
+    _mask, msb = _width(byte)
+    shifts = range(0, 8 if byte else 16, 4)
 
-    def _exec_addc(self, instruction):
-        self._add_like(instruction, self.flag("C"))
-
-    def _exec_sub(self, instruction):
-        self._sub_like(instruction, 1, writeback=True)
-
-    def _exec_subc(self, instruction):
-        self._sub_like(instruction, self.flag("C"), writeback=True)
-
-    def _exec_cmp(self, instruction):
-        self._sub_like(instruction, 1, writeback=False)
-
-    def _exec_dadd(self, instruction):
-        byte, source, ref, dest = self._binary_setup(instruction)
-        digits = 2 if byte else 4
-        carry = self.flag("C")
+    def alu(source, dest, sr):
+        carry = sr & _FLAG_C
         result = 0
-        for digit in range(digits):
-            shift = 4 * digit
+        for shift in shifts:
             total = ((source >> shift) & 0xF) + ((dest >> shift) & 0xF) + carry
             carry = 1 if total > 9 else 0
             if carry:
                 total -= 10
             result |= (total & 0xF) << shift
-        msb = 0x80 if byte else 0x8000
-        self._set_flags(n=bool(result & msb), z=result == 0, c=bool(carry))
-        self._write_dest(ref, result, byte)
-
-    def _logic(self, instruction, combine, writeback=True, set_flags=True):
-        byte, source, ref, dest = self._binary_setup(instruction)
-        mask = 0xFF if byte else 0xFFFF
-        msb = 0x80 if byte else 0x8000
-        result = combine(source, dest) & mask
-        if set_flags:
-            self._set_flags(
-                n=bool(result & msb), z=result == 0, c=result != 0, v=False
-            )
-        if writeback:
-            self._write_dest(ref, result, byte)
-        return source, dest, result, msb
-
-    def _exec_and(self, instruction):
-        self._logic(instruction, lambda s, d: s & d)
-
-    def _exec_bit(self, instruction):
-        self._logic(instruction, lambda s, d: s & d, writeback=False)
-
-    def _exec_bic(self, instruction):
-        self._logic(instruction, lambda s, d: d & ~s, set_flags=False)
-
-    def _exec_bis(self, instruction):
-        self._logic(instruction, lambda s, d: d | s, set_flags=False)
-
-    def _exec_xor(self, instruction):
-        source, dest, result, msb = self._logic(
-            instruction, lambda s, d: s ^ d, set_flags=False
-        )
-        mask = msb | (msb - 1)
-        self._set_flags(
-            n=bool(result & msb),
-            z=result == 0,
-            c=result != 0,
-            v=bool(source & msb) and bool(dest & msb),
+        return result, (
+            (sr & _CLEAR_NZC)
+            | (_FLAG_N if result & msb else 0)
+            | (0 if result else _FLAG_Z)
+            | (_FLAG_C if carry else 0)
         )
 
-    # Format II -----------------------------------------------------------------
+    return alu
 
-    def _unary_setup(self, instruction):
-        byte = instruction.byte
-        ref = self._dest_ref(instruction.src)
-        value = self._read_dest(ref, byte)
-        return byte, ref, value
 
-    def _exec_rra(self, instruction):
-        byte, ref, value = self._unary_setup(instruction)
-        msb = 0x80 if byte else 0x8000
-        carry = value & 1
-        result = (value >> 1) | (value & msb)
-        self._set_flags(n=bool(result & msb), z=result == 0, c=bool(carry), v=False)
-        self._write_dest(ref, result, byte)
+def _and_alu(byte):
+    """AND/BIT: C is set when the result is non-zero, V cleared."""
+    mask, msb = _width(byte)
 
-    def _exec_rrc(self, instruction):
-        byte, ref, value = self._unary_setup(instruction)
-        msb = 0x80 if byte else 0x8000
-        carry_in = self.flag("C")
-        carry_out = value & 1
-        result = (value >> 1) | (msb if carry_in else 0)
-        self._set_flags(
-            n=bool(result & msb), z=result == 0, c=bool(carry_out), v=False
+    def alu(source, dest, sr):
+        result = source & dest & mask
+        return result, (
+            (sr & _CLEAR_NZCV)
+            | (_FLAG_N if result & msb else 0)
+            | (_FLAG_C if result else _FLAG_Z)
         )
-        self._write_dest(ref, result, byte)
 
-    def _exec_swpb(self, instruction):
-        _byte, ref, value = self._unary_setup(instruction)
-        result = ((value & 0xFF) << 8) | ((value >> 8) & 0xFF)
-        self._write_dest(ref, result, byte=False)
+    return alu
 
-    def _exec_sxt(self, instruction):
-        _byte, ref, value = self._unary_setup(instruction)
+
+def _xor_alu(byte):
+    """XOR: like AND, and V when both operands are negative."""
+    mask, msb = _width(byte)
+
+    def alu(source, dest, sr):
+        result = (source ^ dest) & mask
+        return result, (
+            (sr & _CLEAR_NZCV)
+            | (_FLAG_N if result & msb else 0)
+            | (_FLAG_C if result else _FLAG_Z)
+            | (_FLAG_V if source & dest & msb else 0)
+        )
+
+    return alu
+
+
+def _bic_alu(byte):
+    mask = _width(byte)[0]
+    return lambda source, dest, sr: (dest & ~source & mask, sr)
+
+
+def _bis_alu(byte):
+    mask = _width(byte)[0]
+    return lambda source, dest, sr: ((dest | source) & mask, sr)
+
+
+#: Format I mnemonic -> ``factory(byte) -> alu`` (MOV needs no ALU).
+_FORMAT_I_ALUS = {
+    "ADD": partial(_add_alu, carry=False, subtract=False),
+    "ADDC": partial(_add_alu, carry=True, subtract=False),
+    "SUB": partial(_add_alu, carry=False, subtract=True),
+    "SUBC": partial(_add_alu, carry=True, subtract=True),
+    "CMP": partial(_add_alu, carry=False, subtract=True),
+    "DADD": _dadd_alu,
+    "AND": _and_alu,
+    "BIT": _and_alu,
+    "BIC": _bic_alu,
+    "BIS": _bis_alu,
+    "XOR": _xor_alu,
+}
+
+
+def _format_i(instruction):
+    """Source read, then destination address and read, flags, write.
+
+    XOR is the one operation that writes its destination before setting
+    flags, which shows when the destination is SR itself.
+    """
+    name, byte = instruction.mnemonic, instruction.byte
+    read = _reader(instruction.src, byte)
+    dst = instruction.dst
+    if name == "MOV":
+        if dst.mode is AddressingMode.REGISTER:
+            register = dst.register
+
+            def execute(regs, bus):
+                regs[register] = read(regs, bus)
+
+        else:
+            locate = _locator(dst)
+
+            def execute(regs, bus):
+                value = read(regs, bus)
+                bus.write(locate(regs), value, byte)
+
+        return execute
+
+    alu = _FORMAT_I_ALUS[name](byte)
+    mask = _width(byte)[0]
+    if dst.mode is AddressingMode.REGISTER:
+        register = dst.register
+        if name in NO_WRITEBACK:
+
+            def execute(regs, bus):
+                regs[SR] = alu(read(regs, bus), regs[register] & mask, regs[SR])[1]
+
+        elif name == "XOR":
+
+            def execute(regs, bus):
+                source = read(regs, bus)
+                dest = regs[register] & mask
+                regs[register] = alu(source, dest, 0)[0]
+                regs[SR] = alu(source, dest, regs[SR])[1]
+
+        else:
+
+            def execute(regs, bus):
+                result, regs[SR] = alu(
+                    read(regs, bus), regs[register] & mask, regs[SR]
+                )
+                regs[register] = result
+
+        return execute
+
+    locate = _locator(dst)
+    if name in NO_WRITEBACK:
+
+        def execute(regs, bus):
+            source = read(regs, bus)
+            regs[SR] = alu(source, bus.read(locate(regs), byte), regs[SR])[1]
+
+    elif name == "XOR":
+
+        def execute(regs, bus):
+            source = read(regs, bus)
+            address = locate(regs)
+            result, sr = alu(source, bus.read(address, byte), regs[SR])
+            bus.write(address, result, byte)
+            regs[SR] = sr
+
+    else:
+
+        def execute(regs, bus):
+            source = read(regs, bus)
+            address = locate(regs)
+            result, regs[SR] = alu(source, bus.read(address, byte), regs[SR])
+            bus.write(address, result, byte)
+
+    return execute
+
+
+# Format II ------------------------------------------------------------------------
+
+
+def _shift_alu(byte, through_carry):
+    """RRA (the sign bit stays), or RRC when *through_carry* (C enters
+    the top bit); bit 0 leaves through C either way."""
+    msb = _width(byte)[1]
+
+    def alu(value, sr):
+        if through_carry:
+            top = msb if sr & _FLAG_C else 0
+        else:
+            top = value & msb
+        result = (value >> 1) | top
+        return result, (
+            (sr & _CLEAR_NZCV)
+            | (_FLAG_N if result & msb else 0)
+            | (0 if result else _FLAG_Z)
+            | (value & 1)  # C is bit 0
+        )
+
+    return alu
+
+
+def _swpb_alu(_byte):
+    return lambda value, sr: (((value & 0xFF) << 8) | ((value >> 8) & 0xFF), sr)
+
+
+def _sxt_alu(_byte):
+    def alu(value, sr):
         low = value & 0xFF
         result = low | (0xFF00 if low & 0x80 else 0)
-        self._set_flags(
-            n=bool(result & 0x8000), z=result == 0, c=result != 0, v=False
+        return result, (
+            (sr & _CLEAR_NZCV)
+            | (_FLAG_N if result & 0x8000 else 0)
+            | (_FLAG_C if result else _FLAG_Z)
         )
-        self._write_dest(ref, result, byte=False)
 
-    def _exec_push(self, instruction):
-        value = self._read_source(instruction.src, instruction.byte)
-        self.regs[SP] = (self.regs[SP] - 2) & 0xFFFF
-        self.bus.write(self.regs[SP], value, byte=False)
+    return alu
 
-    def _exec_call(self, instruction):
-        target = self._read_source(instruction.src, byte=False)
+
+#: Read-modify-write Format II mnemonic -> (``factory(byte) -> alu``,
+#: whether the write is a word whatever the byte bit says).
+_UNARY_ALUS = {
+    "RRA": (partial(_shift_alu, through_carry=False), False),
+    "RRC": (partial(_shift_alu, through_carry=True), False),
+    "SWPB": (_swpb_alu, True),
+    "SXT": (_sxt_alu, True),
+}
+
+
+def _unary(instruction):
+    """RRA/RRC/SWPB/SXT: the operand is read and written back in place
+    (an autoincrement operand is not incremented)."""
+    byte = instruction.byte
+    factory, word_write = _UNARY_ALUS[instruction.mnemonic]
+    alu = factory(byte)
+    mask = _width(byte)[0]
+    operand = instruction.src
+    if operand.mode is AddressingMode.REGISTER:
+        register = operand.register
+
+        def execute(regs, bus):
+            result, regs[SR] = alu(regs[register] & mask, regs[SR])
+            regs[register] = result
+
+        return execute
+
+    locate = _locator(operand)
+    write_byte = byte and not word_write
+
+    def execute(regs, bus):
+        address = locate(regs)
+        result, regs[SR] = alu(bus.read(address, byte), regs[SR])
+        bus.write(address, result, write_byte)
+
+    return execute
+
+
+def _push(instruction):
+    read = _reader(instruction.src, instruction.byte)
+
+    def execute(regs, bus):
+        value = read(regs, bus)
+        regs[SP] = (regs[SP] - 2) & 0xFFFF
+        bus.write(regs[SP], value, False)
+
+    return execute
+
+
+def _call(instruction):
+    read = _reader(instruction.src, False)
+
+    def execute(regs, bus):
+        target = read(regs, bus)
         if target & 1:
             raise SimulationError(f"CALL to odd address {target:#06x}")
-        self.regs[SP] = (self.regs[SP] - 2) & 0xFFFF
-        self.bus.write(self.regs[SP], self.regs[PC], byte=False)
-        self.regs[PC] = target
+        regs[SP] = (regs[SP] - 2) & 0xFFFF
+        bus.write(regs[SP], regs[PC], False)
+        regs[PC] = target
 
-    def _exec_reti(self, instruction):
-        self.regs[SR] = self.bus.read(self.regs[SP])
-        self.regs[SP] = (self.regs[SP] + 2) & 0xFFFF
-        self.regs[PC] = self.bus.read(self.regs[SP])
-        self.regs[SP] = (self.regs[SP] + 2) & 0xFFFF
+    return execute
 
 
-_EXECUTORS = {
-    "MOV": Cpu._exec_mov,
-    "ADD": Cpu._exec_add,
-    "ADDC": Cpu._exec_addc,
-    "SUB": Cpu._exec_sub,
-    "SUBC": Cpu._exec_subc,
-    "CMP": Cpu._exec_cmp,
-    "DADD": Cpu._exec_dadd,
-    "AND": Cpu._exec_and,
-    "BIT": Cpu._exec_bit,
-    "BIC": Cpu._exec_bic,
-    "BIS": Cpu._exec_bis,
-    "XOR": Cpu._exec_xor,
-    "RRA": Cpu._exec_rra,
-    "RRC": Cpu._exec_rrc,
-    "SWPB": Cpu._exec_swpb,
-    "SXT": Cpu._exec_sxt,
-    "PUSH": Cpu._exec_push,
-    "CALL": Cpu._exec_call,
-    "RETI": Cpu._exec_reti,
+def _reti(regs, bus):
+    regs[SR] = bus.read(regs[SP])
+    regs[SP] = (regs[SP] + 2) & 0xFFFF
+    regs[PC] = bus.read(regs[SP])
+    regs[SP] = (regs[SP] + 2) & 0xFFFF
+
+
+# Jumps ----------------------------------------------------------------------------
+
+#: Single-flag jumps: (SR bit tested, bit value that takes the jump).
+_FLAG_JUMPS = {
+    "JNE": (_FLAG_Z, 0),
+    "JEQ": (_FLAG_Z, _FLAG_Z),
+    "JNC": (_FLAG_C, 0),
+    "JC": (_FLAG_C, _FLAG_C),
+    "JN": (_FLAG_N, _FLAG_N),
 }
+
+
+def _jump(condition, target):
+    """*condition* is the canonical mnemonic; *target* the byte address."""
+    if condition == "JMP":
+
+        def execute(regs, bus):
+            regs[PC] = target
+
+    elif condition in _FLAG_JUMPS:
+        bit, taken = _FLAG_JUMPS[condition]
+
+        def execute(regs, bus):
+            if (regs[SR] & bit) == taken:
+                regs[PC] = target
+
+    else:
+        # JL is taken when N != V, JGE when they agree (N is SR bit 2,
+        # V bit 8).
+        taken = 1 if condition == "JL" else 0
+
+        def execute(regs, bus):
+            sr = regs[SR]
+            if ((sr >> 2) ^ (sr >> 8)) & 1 == taken:
+                regs[PC] = target
+
+    return execute

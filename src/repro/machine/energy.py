@@ -33,17 +33,15 @@ class EnergyModel:
     def access_energy_nj(self, counters):
         """Energy of all memory traffic recorded in *counters*.
 
-        Summed in a sorted key order so the floating-point total is a
-        pure function of the tallies, not of the order accesses happened
-        to be recorded in -- trace replay accumulates the same counters
-        via a different insertion order and must land on the identical
-        total.
+        Summed in one fixed key order -- ``(attribution.value,
+        kind.value, type)``, the order ``counters.accesses`` iterates in
+        -- so the floating-point total is a pure function of the tallies,
+        not of the order accesses happened to be recorded in. Float
+        addition does not associate: any other order can move
+        ``energy_nj`` in the last bit.
         """
         total = 0.0
-        for (attribution, kind, access_type), count in sorted(
-            counters.accesses.items(),
-            key=lambda item: (item[0][0].value, item[0][1].value, item[0][2]),
-        ):
+        for (_attribution, kind, access_type), count in counters.accesses.items():
             if kind is RegionKind.SRAM:
                 total += count * self.sram_access_nj
             elif kind is RegionKind.FRAM:

@@ -30,6 +30,11 @@ class RegionKind(Enum):
     MMIO = "mmio"
     UNMAPPED = "unmapped"
 
+    def __init__(self, value):
+        #: Declaration position: the int that flat counter tables index
+        #: by (an attribute read, where an enum-keyed dict would hash).
+        self.index = len(type(self)._member_names_)
+
 
 @dataclass(frozen=True)
 class Region:

@@ -636,28 +636,20 @@ class ReplayEngine:
         sram = RegionKind.SRAM
         mmio = RegionKind.MMIO
         counters = board.counters
-        accesses = counters.accesses
-        if fetch_fram:
-            accesses[(app, fram, FETCH)] += fetch_fram
-        if fetch_sram:
-            accesses[(app, sram, FETCH)] += fetch_sram
-        if rd_fram:
-            accesses[(app, fram, READ)] += rd_fram
-        if rd_sram:
-            accesses[(app, sram, READ)] += rd_sram
-        if rd_mmio:
-            accesses[(app, mmio, READ)] += rd_mmio
-        if wr_fram:
-            accesses[(app, fram, WRITE)] += wr_fram
-        if wr_sram:
-            accesses[(app, sram, WRITE)] += wr_sram
-        if wr_mmio:
-            accesses[(app, mmio, WRITE)] += wr_mmio
-        if instr_fram:
-            counters.instructions[(app, fram)] += instr_fram
-        if instr_sram:
-            counters.instructions[(app, sram)] += instr_sram
-        counters.cycles[app] += cycles_total
+        counters.add(
+            accesses={
+                (app, fram, FETCH): fetch_fram,
+                (app, sram, FETCH): fetch_sram,
+                (app, fram, READ): rd_fram,
+                (app, sram, READ): rd_sram,
+                (app, mmio, READ): rd_mmio,
+                (app, fram, WRITE): wr_fram,
+                (app, sram, WRITE): wr_sram,
+                (app, mmio, WRITE): wr_mmio,
+            },
+            instructions={(app, fram): instr_fram, (app, sram): instr_sram},
+            cycles={app: cycles_total},
+        )
         counters.stall_cycles += stall
         fc.hits += hits
         fc.misses += misses

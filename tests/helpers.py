@@ -33,3 +33,24 @@ def run_main(body, **kwargs):
     return board.bus.debug_words
 
 
+#: A short mini-C kernel (about 2.8K instructions on the baseline):
+#: loops, a call, global array loads and stores.
+LOOP_KERNEL = """
+int table[8];
+
+int mix(int x) {
+    return (x << 1) ^ (x >> 3);
+}
+
+int main(void) {
+    int acc = 1;
+    for (int pass = 0; pass < 6; pass++) {
+        for (int i = 0; i < 8; i++) {
+            table[i] = mix(table[i] + acc);
+            acc = acc + table[i];
+        }
+    }
+    __debug_out(acc & 0xFFFF);
+    return 0;
+}
+"""

@@ -2,9 +2,12 @@
 
 import io
 import json
+from pathlib import Path
 
 from repro.cli import main as repro_main
 from repro.faults.cli import main
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 def run_cli(*argv):
@@ -123,3 +126,28 @@ def test_dispatch_from_repro_main(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "sweep-seed3.json").exists()
+
+
+def test_committed_dcguard_golden_is_reproduced(tmp_path):
+    """The command docs/faults.md gives for the committed dcguard report
+    reproduces it byte for byte, fuse instants included."""
+    golden = RESULTS / "faults" / "datacache-dcguard-seed1.json"
+    code, _ = run_cli(
+        "sweep",
+        "--benchmarks",
+        "dcguard",
+        "--systems",
+        "baseline",
+        "datacache-wt",
+        "datacache-wb",
+        "datacache-acp",
+        "--schedules",
+        "fixed:0.08",
+        "fixed:0.5",
+        "--seed",
+        "1",
+        "--out",
+        str(tmp_path),
+    )
+    assert code == 0
+    assert (tmp_path / "sweep-seed1.json").read_bytes() == golden.read_bytes()

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.asm.parser import parse_instruction
+from repro.isa.instructions import Instruction
 from repro.isa.registers import PC, SP, SR
 from repro.machine import fr2355_board
-from repro.machine.cpu import SimulationError
+from repro.machine.cpu import SimulationError, compile_instruction
 
 from tests.helpers import run_asm, run_main
 
@@ -17,8 +18,10 @@ def make_cpu():
     return board.cpu
 
 
-def execute(cpu, text):
-    cpu._dispatch(parse_instruction(text))
+def execute(cpu, instruction):
+    if isinstance(instruction, str):
+        instruction = parse_instruction(instruction)
+    compile_instruction(instruction)(cpu.regs, cpu.bus)
     return cpu
 
 
@@ -280,14 +283,8 @@ def test_conditional_jumps(setup, jump, taken):
     cpu.regs[4] = 5
     execute(cpu, setup)
     cpu.regs[PC] = 0x8000
-    cpu._jump(_canonical(jump), 0x8100)
+    execute(cpu, Instruction(jump, target=0x8100))
     assert (cpu.regs[PC] == 0x8100) == taken
-
-
-def _canonical(mnemonic):
-    from repro.isa.instructions import JUMP_CONDITIONS, JUMP_MNEMONICS
-
-    return JUMP_MNEMONICS[JUMP_CONDITIONS[mnemonic]]
 
 
 def test_signed_vs_unsigned_branching():
@@ -295,11 +292,12 @@ def test_signed_vs_unsigned_branching():
     cpu.regs[4] = 0x8000  # -32768 signed, 32768 unsigned
     execute(cpu, "CMP #1, R4")
     cpu.regs[PC] = 0x8000
-    cpu._jump("JL", 0x8100)  # signed: -32768 < 1
+    execute(cpu, Instruction("JL", target=0x8100))  # signed: -32768 < 1
     assert cpu.regs[PC] == 0x8100
     execute(cpu, "CMP #1, R4")
     cpu.regs[PC] = 0x8000
-    cpu._jump(_canonical("JLO"), 0x8100)  # unsigned: 32768 >= 1 -> not taken
+    # Unsigned: 32768 >= 1, so JLO is not taken.
+    execute(cpu, Instruction("JLO", target=0x8100))
     assert cpu.regs[PC] == 0x8000
 
 

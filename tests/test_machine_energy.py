@@ -1,8 +1,19 @@
 """Energy model: linearity and the paper's qualitative properties."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine import EnergyModel
+from repro.machine.memory import RegionKind
+from repro.machine.trace import (
+    ACCESS_TYPES,
+    WRITE,
+    AccessCounters,
+    Attribution,
+)
 from repro.toolchain import PLANS, build_baseline
 
 KERNEL = """
@@ -120,3 +131,53 @@ def test_write_heavy_code_pays_fram_write_premium():
     # Same store loop against a free-write model: the premium is real.
     free_writes = EnergyModel(fram_write_nj=0.0)
     assert model.energy_nj(writes.counters) > free_writes.energy_nj(writes.counters)
+
+
+def sorted_counter_energy(model, accesses):
+    """The formula over a ``Counter`` of access tallies that energy totals
+    were first computed with: terms added in sorted key order."""
+    total = 0.0
+    for (attribution, kind, access_type), count in sorted(
+        accesses.items(),
+        key=lambda item: (item[0][0].value, item[0][1].value, item[0][2]),
+    ):
+        if kind is RegionKind.SRAM:
+            total += count * model.sram_access_nj
+        elif kind is RegionKind.FRAM:
+            if access_type == WRITE:
+                total += count * model.fram_write_nj
+            else:
+                total += count * model.fram_read_nj
+    return total
+
+
+_records = st.lists(
+    st.tuples(
+        st.sampled_from(list(Attribution)),
+        st.sampled_from(list(RegionKind)),
+        st.sampled_from(ACCESS_TYPES),
+        st.integers(min_value=0, max_value=10**7),
+    ),
+    max_size=60,
+)
+_energy = st.floats(min_value=1e-3, max_value=10.0, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=_records, fram_read=_energy, fram_write=_energy, sram=_energy)
+def test_access_energy_sums_in_the_sorted_key_order(
+    records, fram_read, fram_write, sram
+):
+    """Float addition does not associate, so the flat counters must add
+    energy terms in exactly the order the Counter-keyed formula did."""
+    model = EnergyModel(
+        fram_read_nj=fram_read, fram_write_nj=fram_write, sram_access_nj=sram
+    )
+    counters = AccessCounters()
+    reference = Counter()
+    for attribution, kind, access_type, words in records:
+        counters.record_data(attribution, kind, access_type, words)
+        reference[(attribution, kind, access_type)] += words
+    assert model.access_energy_nj(counters) == sorted_counter_energy(
+        model, reference
+    )

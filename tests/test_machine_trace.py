@@ -1,7 +1,12 @@
 """AccessCounters: category bookkeeping used by every experiment."""
 
+import pytest
+
+from repro.isa.registers import PC
+from repro.machine import fr2355_board
 from repro.machine.memory import RegionKind
 from repro.machine.trace import (
+    FETCH,
     READ,
     WRITE,
     AccessCounters,
@@ -75,3 +80,84 @@ def test_snapshot_is_independent():
     assert snapshot.fram_accesses == 9
     assert snapshot.stall_cycles == 7
     assert counters.fram_accesses == 109
+
+
+# -- the tally views -------------------------------------------------------------
+
+
+def test_views_read_like_counters():
+    counters = make_counters()
+    key = (Attribution.APP, RegionKind.FRAM, FETCH)
+    assert counters.accesses[key] == 2
+    assert counters.accesses[(Attribution.STARTUP, RegionKind.MMIO, READ)] == 0
+    assert counters.instructions[(Attribution.MEMCPY, RegionKind.FRAM)] == 1
+    assert counters.cycles[Attribution.RUNTIME] == 6
+    # Only non-zero tallies are keys.
+    assert dict(counters.cycles) == {
+        Attribution.APP: 5,
+        Attribution.RUNTIME: 6,
+        Attribution.MEMCPY: 4,
+    }
+    assert len(counters.accesses) == 6
+    assert (Attribution.STARTUP, RegionKind.FRAM) not in counters.instructions
+    with pytest.raises(KeyError):
+        counters.cycles["app"]
+
+
+@pytest.mark.parametrize(
+    "view,key",
+    [
+        ("accesses", (Attribution.APP, RegionKind.FRAM, FETCH)),
+        ("instructions", (Attribution.APP, RegionKind.FRAM)),
+        ("cycles", Attribution.APP),
+    ],
+)
+def test_views_reject_item_assignment(view, key):
+    counters = make_counters()
+    before = getattr(counters, view)[key]
+    with pytest.raises(TypeError, match="read-only"):
+        getattr(counters, view)[key] += 1
+    with pytest.raises(TypeError, match="read-only"):
+        del getattr(counters, view)[key]
+    assert getattr(counters, view)[key] == before
+
+
+def test_view_bound_before_a_step_sees_its_increments():
+    board = fr2355_board()
+    board.memory.write_word(0x8000, 0x4303)  # NOP (MOV R3, R3)
+    board.cpu.regs[PC] = 0x8000
+    counters = board.counters
+    cycles, instructions, accesses = (
+        counters.cycles,
+        counters.instructions,
+        counters.accesses,
+    )
+    board.cpu.step()
+    assert cycles[Attribution.APP] == 1
+    assert instructions[(Attribution.APP, RegionKind.FRAM)] == 1
+    assert accesses[(Attribution.APP, RegionKind.FRAM, FETCH)] == 1
+
+
+def test_restore_is_in_place():
+    counters = make_counters()
+    snapshot = counters.snapshot()
+    accesses = counters.accesses
+    counters.record_fetch(Attribution.APP, RegionKind.FRAM, 100)
+    assert accesses[(Attribution.APP, RegionKind.FRAM, FETCH)] == 102
+    assert counters.restore(snapshot) is counters
+    assert counters.accesses is accesses
+    assert accesses[(Attribution.APP, RegionKind.FRAM, FETCH)] == 2
+    assert counters.fram_accesses == snapshot.fram_accesses
+
+
+def test_add_flushes_bulk_tallies():
+    counters = make_counters()
+    counters.add(
+        accesses={(Attribution.APP, RegionKind.SRAM, READ): 5},
+        instructions={(Attribution.APP, RegionKind.SRAM): 3},
+        cycles={Attribution.APP: 9},
+    )
+    assert counters.accesses[(Attribution.APP, RegionKind.SRAM, READ)] == 5
+    assert counters.instructions[(Attribution.APP, RegionKind.SRAM)] == 4
+    assert counters.cycles[Attribution.APP] == 14
+    assert counters.total_instructions == 7
