@@ -165,8 +165,29 @@ class Program:
         return label
 
     def clone(self):
-        """Deep-copy the program (transformation passes never mutate input)."""
-        return copy.deepcopy(self)
+        """Copy the program for a transformation pass to mutate.
+
+        Every container is new, and so are labels, comments and data
+        items (with their value lists); the frozen instructions, operands
+        and symbols are shared, which is what makes this much cheaper
+        than ``copy.deepcopy``. Any other item is deep-copied.
+        """
+        return Program(
+            functions=[
+                Function(
+                    function.name,
+                    [_clone_item(item) for item in function.items],
+                    function.blacklisted,
+                    function.is_library,
+                )
+                for function in self.functions
+            ],
+            sections={
+                name: [_clone_item(item) for item in items]
+                for name, items in self.sections.items()
+            },
+            entry=self.entry,
+        )
 
     def __str__(self):
         chunks = []
@@ -185,6 +206,19 @@ class Program:
             chunks.append(str(function))
             chunks.append(".endfunc")
         return "\n".join(chunks)
+
+
+def _clone_item(item):
+    kind = type(item)
+    if kind is Instruction:
+        return item
+    if kind is Label:
+        return Label(item.name)
+    if kind is SourceComment:
+        return SourceComment(item.text)
+    if kind is DataItem:
+        return DataItem(item.kind, list(item.values))
+    return copy.deepcopy(item)
 
 
 def function_items(function):

@@ -13,13 +13,20 @@ instruction's bytes in memory still equal the snapshot taken at decode,
 so self-modifying code -- the heart of SwapRAM -- stays correct, and
 they charge the same fetches through ``bus.account_fetch``.
 
-**Probes.** Closures and :meth:`Cpu.step`/:meth:`Cpu.run` look up
+**Probes.** Closures and :meth:`Cpu.step` and the step loop look up
 ``bus.read``/``write``/``fetch_word``/``account_fetch``/
 ``begin_instruction``, ``counters.record_*`` and ``cpu.step`` on the
 instance at call time and never bind them at decode time, so observers
 that replace those attributes (trace capture, ``TraceLog``, the obs
 collector, fused counters) see every access, even when attached to a
 warm decode cache.
+
+**Two tiers.** A machine with no such observer attached runs the block
+tier instead: hot straight-line runs of instructions are compiled into
+superblocks (see the section at the end of this module) that batch the
+same accounting per block. Every other machine runs the step tier, one
+:meth:`Cpu.step` per instruction, which is also the reference the
+block tier is tested against.
 
 **Native hooks** are the semihosting mechanism used to host the cache
 runtimes: when the PC lands on a hooked address the registered callable
@@ -29,6 +36,7 @@ setting the continuation PC.
 """
 
 from functools import partial
+from itertools import accumulate
 
 from repro.isa.cycles import instruction_cycles
 from repro.isa.encoding import EncodingError, decode_instruction
@@ -40,7 +48,10 @@ from repro.isa.instructions import (
 )
 from repro.isa.operands import AddressingMode
 from repro.isa.registers import PC, SP, SR
-from repro.machine.bus import BusError
+from repro.machine.bus import Bus, BusError
+from repro.machine.memory import RegionKind
+from repro.machine.probe import unwrapped
+from repro.machine.trace import AccessCounters, Attribution, block_slots
 
 _FLAG_C = 0x0001
 _FLAG_Z = 0x0002
@@ -77,6 +88,7 @@ class Decoded:
         "region",
         "cycles",
         "instruction",
+        "ends_block",
     )
 
     def __init__(self, pc, length, snapshot, instruction, region):
@@ -90,6 +102,9 @@ class Decoded:
         self.region = region
         self.cycles = instruction_cycles(instruction)
         self.instruction = instruction
+        #: Whether a superblock ends here: the instruction may replace
+        #: the PC.
+        self.ends_block = _ends_block(instruction)
 
 
 class Cpu:
@@ -105,6 +120,11 @@ class Cpu:
         #: stub (for block chaining) without any architectural support.
         self.pc_history = [0, 0, 0]
         self._decode_cache = {}  # pc -> Decoded
+        self._blocks = {}  # entry pc -> _Block
+        self._entries = {}  # entry pc -> entries on the step path
+        #: Hook addresses and FRAM timing the superblocks were formed
+        #: against; a change drops them all.
+        self._block_shape = None
 
     def flag(self, name):
         bit = {"C": _FLAG_C, "Z": _FLAG_Z, "N": _FLAG_N, "V": _FLAG_V}[name]
@@ -166,8 +186,16 @@ class Cpu:
         return decoded
 
     def run(self, max_instructions=50_000_000):
-        """Run until the program halts; guard against runaways."""
+        """Run until the program halts; guard against runaways.
+
+        A plain machine (:meth:`_plain`) runs the block tier until it
+        halts, comes within :data:`MAX_BLOCK` instructions of the budget,
+        or a hook attaches a probe; the step loop runs the rest, and
+        every probed machine.
+        """
         remaining = max_instructions
+        if self._plain():
+            remaining = self._run_blocks(remaining)
         while self.step():
             remaining -= 1
             if remaining <= 0:
@@ -206,7 +234,148 @@ class Cpu:
         self.regs[PC] = entry & 0xFFFF
         self.pc_history[:] = [0, 0, 0]
         self._decode_cache.clear()
+        self._blocks.clear()
+        self._entries.clear()
         return self
+
+    # -- the block tier -------------------------------------------------------
+
+    def _plain(self):
+        """True when nothing observes single steps or accesses: ``step``
+        and the bus and counter methods the step path looks up are the
+        class's own, the bus and counters are exactly :class:`Bus` and
+        :class:`AccessCounters` (no fuses), and no data cache is
+        attached. Only then may accounting be batched per superblock."""
+        bus = self.bus
+        counters = bus.counters
+        return (
+            type(bus) is Bus
+            and type(counters) is AccessCounters
+            and bus.data_cache is None
+            and unwrapped(self, "step", Cpu)
+            and all(unwrapped(bus, name, Bus) for name in _BUS_PROBES)
+            and all(
+                unwrapped(counters, name, AccessCounters) for name in _COUNTER_PROBES
+            )
+        )
+
+    def _sync_blocks(self):
+        """Drop every superblock if the hooks or FRAM timing changed."""
+        bus = self.bus
+        cache = bus.fram_cache
+        shape = (
+            frozenset(self.hooks),
+            cache.sets,
+            cache.ways,
+            cache.line_bytes,
+            bus.wait_states,
+            bus.contention_penalty,
+        )
+        if shape != self._block_shape:
+            self._blocks.clear()
+            self._block_shape = shape
+
+    def _run_blocks(self, remaining):
+        """The block tier's loop; returns the budget left when it stops.
+
+        Hooks count as one step, as in :meth:`step`, and the plainness
+        check is repeated after each one. A superblock is compiled on
+        its :data:`HOT_ENTRIES`-th entry; until then its instructions
+        run through :meth:`step`, except that a block the code cache
+        already holds is taken on its second entry, the first with its
+        instructions decoded.
+        """
+        bus = self.bus
+        regs = self.regs
+        hooks = self.hooks
+        blocks = self._blocks
+        entries = self._entries
+        data = bus.memory.data
+        self._sync_blocks()
+        while remaining > MAX_BLOCK and not bus.halted:
+            pc = regs[PC]
+            hook = hooks.get(pc)
+            if hook is not None:
+                hook(self)
+                remaining -= 1
+                self._sync_blocks()
+                if not self._plain():
+                    break
+                continue
+            block = blocks.get(pc)
+            if block is not None:
+                if data[pc : block.end] == block.snapshot:
+                    remaining -= block.execute(self)
+                    continue
+                del blocks[pc]
+            count = entries.get(pc, 0) + 1
+            if count >= HOT_ENTRIES or count == 2:
+                block = self._form_block(pc, compile=count >= HOT_ENTRIES)
+                if block is not None:
+                    blocks[pc] = block
+                    del entries[pc]
+                    remaining -= block.execute(self)
+                    continue
+            entries[pc] = count
+            remaining -= self._step_block()
+        return remaining
+
+    def _step_block(self):
+        """Step one superblock's worth of instructions; returns the count."""
+        regs = self.regs
+        bus = self.bus
+        hooks = self.hooks
+        cache = self._decode_cache
+        for steps in range(1, MAX_BLOCK + 1):
+            pc = regs[PC]
+            self.step()
+            if bus.halted or cache[pc].ends_block or regs[PC] in hooks:
+                break
+        return steps
+
+    def _form_block(self, start, compile=True):
+        """Chain validated decode-cache entries from *start* into a
+        superblock found in the code cache, or compiled when *compile*;
+        None when there is none, or the entry itself is not decoded."""
+        bus = self.bus
+        data = bus.memory.data
+        cache = self._decode_cache
+        hooks = self.hooks
+        chain = []
+        pc = start
+        while len(chain) < MAX_BLOCK:
+            decoded = cache.get(pc)
+            if decoded is None or data[pc : pc + decoded.length] != decoded.snapshot:
+                break
+            if chain and (pc in hooks or decoded.region is not chain[0].region):
+                break
+            chain.append(decoded)
+            if decoded.ends_block or decoded.next_pc < pc:
+                break
+            pc = decoded.next_pc
+        if not chain:
+            return None
+        end = start + sum(decoded.length for decoded in chain)
+        fram_cache = bus.fram_cache
+        key = (
+            start,
+            bytes(data[start:end]),
+            chain[0].region,
+            fram_cache.sets,
+            fram_cache.ways,
+            fram_cache.line_bytes,
+            bus.wait_states,
+            bus.contention_penalty,
+        )
+        block = _CODE_CACHE.pop(key, None)
+        if block is None:
+            if not compile:
+                return None
+            block = _Block(key, chain)
+            if len(_CODE_CACHE) >= CODE_CACHE_SIZE:
+                del _CODE_CACHE[next(iter(_CODE_CACHE))]
+        _CODE_CACHE[key] = block
+        return block
 
 
 # -- instruction semantics ---------------------------------------------------------
@@ -634,3 +803,503 @@ def _jump(condition, target):
                 regs[PC] = target
 
     return execute
+
+
+# -- the block tier: compiled superblocks ------------------------------------------
+#
+# A superblock is a run of decoded instructions from one entry PC, all in
+# one memory region, ending at the first instruction that may replace the
+# PC, before an address with a native hook, or at MAX_BLOCK instructions.
+# _BlockCompiler turns it into one Python function that does what
+# Cpu.step would do for each instruction -- fetch timing against the
+# FRAM read cache, operand access, flags through the same ALUs, jumps --
+# with stalls, cache hit/miss counts and data tallies kept in locals, and
+# adds them, the fetch, instruction and cycle tallies, the retired count
+# and the PC history to the machine once, on the way out. It returns the
+# instructions it retired: all of them, or fewer when a store lands in
+# the block's own bytes or goes to MMIO (the halt and debug ports),
+# which ends the block after the storing instruction.
+
+#: Entries through the step path before a superblock is compiled.
+#: Compiling costs about 0.2 ms per instruction, as much as stepping it
+#: some 70 times; at 16, the first run of a 20K-instruction generated
+#: program was slower than on the step path alone.
+HOT_ENTRIES = 32
+#: Most instructions in one superblock.
+MAX_BLOCK = 64
+#: Compiled superblocks kept process-wide; each benchmark run, experiment
+#: cell and difftest config builds a fresh board over the same code.
+CODE_CACHE_SIZE = 1024
+
+#: The bus and counter methods the step path looks up on the instance
+#: at call time, which probes wrap.
+_BUS_PROBES = ("read", "write", "fetch_word", "account_fetch", "begin_instruction")
+_COUNTER_PROBES = ("record_fetch", "record_data", "record_instruction")
+
+
+#: ``(start, bytes, region, FRAM-cache geometry, wait states,
+#: contention penalty)`` -> _Block, oldest use first.
+_CODE_CACHE = {}
+
+
+def _lru_access(cache, ways, tag):
+    """A FRAM read-cache read of *tag* in set *ways* that is not a hit on
+    its most recently used line; tallies it on *cache*, True on a miss."""
+    if tag in ways:
+        ways.remove(tag)
+        ways.append(tag)
+        cache.hits += 1
+        return False
+    cache.misses += 1
+    ways.append(tag)
+    if len(ways) > cache.ways:
+        del ways[0]
+    return True
+
+
+def _ends_block(instruction):
+    """Whether *instruction* may replace the PC: a control transfer, or
+    RRA/RRC/SWPB/SXT on the PC register."""
+    operand = instruction.src
+    return instruction.writes_pc() or (
+        instruction.mnemonic in _UNARY_ALUS
+        and operand.mode is AddressingMode.REGISTER
+        and operand.register == PC
+    )
+
+
+class _Block:
+    """One compiled superblock: its extent, its bytes at compile time and
+    the generated ``execute(cpu)``, which returns the instructions it
+    retired. Built from the code-cache key alone (the decode-cache
+    entries only save decoding its bytes again), so boards share it."""
+
+    __slots__ = ("end", "snapshot", "execute")
+
+    def __init__(self, key, chain):
+        start, snapshot = key[:2]
+        self.end = start + len(snapshot)
+        self.snapshot = snapshot
+        self.execute = _BlockCompiler(key, chain).function()
+
+
+class _BlockCompiler:
+    """Python source for one superblock, in the step path's order.
+
+    The generated function runs the instructions inside a ``while``
+    loop that runs once, so every exit -- the end, an early ``break``
+    after a store, or a raise -- reaches the one epilogue that flushes
+    the run into the machine. Its locals: ``t`` is the FRAM touches of
+    the current instruction (``Bus._fram_touches``); ``stalls``,
+    ``hits``, ``misses``, ``invalidated`` and the SRAM/FRAM data read
+    and write tallies accumulate until the epilogue; ``i`` names the
+    instruction that raised. The generator also tracks what is known
+    before run time: whether ``t`` is non-zero, and which tag each
+    FRAM-cache set holds most recently, so a fetch from the line just
+    fetched is a plain hit.
+    """
+
+    def __init__(self, key, chain):
+        start, snapshot, region, sets, ways, line_bytes, wait_states, penalty = key
+        self.start = start
+        self.end = start + len(snapshot)
+        self.fram_code = region is RegionKind.FRAM
+        self.sets = sets
+        self.ways = ways
+        self.shift = line_bytes.bit_length() - 1
+        self.wait_states = wait_states
+        self.penalty = penalty
+        self.chain = chain
+        lengths = [decoded.length for decoded in chain[:-1]]
+        self.pcs = tuple(start + offset for offset in accumulate(lengths, initial=0))
+        self.namespace = {
+            "SRAM": RegionKind.SRAM,
+            "FRAM": RegionKind.FRAM,
+            "BusError": BusError,
+            "SimulationError": SimulationError,
+            "lru_access": _lru_access,
+            # Per instruction: its PC, next PC and text (for errors).
+            "PCS": self.pcs,
+            "NEXT_PCS": tuple(decoded.next_pc for decoded in chain),
+            "INSTRUCTIONS": tuple(decoded.instruction for decoded in chain),
+            # Prefix sums by instruction count: words fetched, cycles.
+            "FETCHED": tuple(accumulate((d.words for d in chain), initial=0)),
+            "CYCLES": tuple(accumulate((d.cycles for d in chain), initial=0)),
+            # Per instructions begun: the newest (up to three) PCs.
+            "HISTORY": tuple(
+                self.pcs[max(0, begun - 3) : begun][::-1]
+                for begun in range(len(chain) + 1)
+            ),
+            # Per attribution index: the tally slots a run adds to.
+            "SLOTS": tuple(block_slots(who, region) for who in Attribution),
+        }
+        self.lines = []
+        self.indent = " " * 12
+        #: Set index -> tag known to be its most recently used line.
+        self.mru = {}
+        #: Whether ``t`` is non-zero: True, False, or None (unknown).
+        self.touched = False
+        # The instruction being compiled: its index and next PC, whether
+        # ``i`` names it yet, and whether it stores.
+        self.index = 0
+        self.next_pc = 0
+        self.marked = False
+        self.stored = False
+
+    def emit(self, *lines):
+        self.lines.extend(self.indent + line for line in lines)
+
+    def constant(self, name, value):
+        self.namespace[name] = value
+        return name
+
+    def function(self):
+        last = len(self.chain) - 1
+        for index, (pc, decoded) in enumerate(zip(self.pcs, self.chain)):
+            self.instruction(index, pc, decoded, index == last)
+        source = "\n".join(
+            [
+                "def block(cpu):",
+                "    regs = cpu.regs",
+                "    bus = cpu.bus",
+                "    data = bus.memory.data",
+                "    kinds = bus._kinds",
+                "    cache = bus.fram_cache",
+                "    lines = cache._lines",
+                "    t = stalls = hits = misses = invalidated = 0",
+                "    sram_reads = sram_writes = fram_reads = fram_writes = 0",
+                "    i = 0",
+                "    error = None",
+                "    try:",
+                "        while True:  # once: break leaves the block",
+                *self.lines,
+                "    except BaseException as raised:",
+                "        error = raised",
+                "        retired = i",
+                "        begun = i + 1",
+                "        regs[0] = NEXT_PCS[i]",
+                "    else:",
+                "        begun = retired",
+                "    bus._fram_touches = t",
+                "    cache.hits += hits",
+                "    cache.misses += misses",
+                "    cache.invalidates += invalidated",
+                "    counters = bus.counters",
+                "    counters.stall_cycles += stalls",
+                "    fetch, sram_read, sram_write, fram_read, fram_write, row, who = "
+                "SLOTS[bus.attribution.index]",
+                "    accesses = counters._accesses",
+                "    accesses[fetch] += FETCHED[begun]",
+                "    accesses[sram_read] += sram_reads",
+                "    accesses[sram_write] += sram_writes",
+                "    accesses[fram_read] += fram_reads",
+                "    accesses[fram_write] += fram_writes",
+                "    counters._instructions[row] += retired",
+                "    counters._cycles[who] += CYCLES[retired]",
+                "    cpu.instructions_retired += retired",
+                "    history = cpu.pc_history",
+                "    newest = HISTORY[begun]",
+                "    if begun >= 3:",
+                "        history[0], history[1], history[2] = newest",
+                "    else:",
+                "        history[:] = (newest + tuple(history))[:3]",
+                "    if error is None:",
+                "        return retired",
+                "    if isinstance(error, BusError):",
+                "        raise SimulationError(",
+                '            f"at PC={PCS[i]:#06x} ({INSTRUCTIONS[i]}): {error}"',
+                "        ) from error",
+                "    raise error",
+            ]
+        )
+        code = compile(source, f"<block {self.start:#06x}>", "exec")
+        exec(code, self.namespace)
+        return self.namespace["block"]
+
+    # -- one instruction ------------------------------------------------------
+
+    def instruction(self, index, pc, decoded, last):
+        instruction = decoded.instruction
+        self.next_pc = decoded.next_pc
+        self.emit(f"# {pc:#06x}: {instruction}")
+        words = decoded.words
+        self.emit(f"t = {words if self.fram_code else 0}")
+        self.touched = self.fram_code
+        if self.fram_code:
+            self.fetch(pc, words)
+        self.index = index
+        self.marked = False
+        self.stored = False
+        name = instruction.mnemonic
+        if name in JUMP_CONDITIONS:
+            self.jump(index, instruction)
+        elif name in FORMAT_I_OPCODES:
+            self.format_i(index, instruction)
+        elif name in _UNARY_ALUS:
+            self.unary(index, instruction)
+        elif name == "PUSH":
+            self.emit(f"s = {self.source(instruction.src, instruction.byte)}")
+            self.emit("regs[1] = (regs[1] - 2) & 0xFFFF")
+            self.write("regs[1]", "s", False)
+        elif name == "CALL":
+            source = self.source(instruction.src, False)
+            self.mark()
+            self.emit(
+                f"s = {source}",
+                "if s & 1:",
+                '    raise SimulationError(f"CALL to odd address {s:#06x}")',
+                "regs[1] = (regs[1] - 2) & 0xFFFF",
+            )
+            self.write("regs[1]", str(self.next_pc), False)
+            self.emit("regs[0] = s")
+        elif name == "RETI":
+            self.read("regs[1] & 0xFFFF", False, "d")
+            self.emit("regs[2] = d", "regs[1] = (regs[1] + 2) & 0xFFFF")
+            self.read("regs[1] & 0xFFFF", False, "d")
+            self.emit("regs[0] = d", "regs[1] = (regs[1] + 2) & 0xFFFF")
+        else:
+            raise SimulationError(f"unimplemented instruction: {name}")
+        if last:
+            if not decoded.ends_block:
+                self.emit(f"regs[0] = {self.next_pc}")
+            self.emit(f"retired = {index + 1}", "break")
+        elif self.stored:
+            self.emit(
+                "if stop:",
+                f"    regs[0] = {self.next_pc}",
+                f"    retired = {index + 1}",
+                "    break",
+            )
+
+    def jump(self, index, instruction):
+        condition = JUMP_MNEMONICS[JUMP_CONDITIONS[instruction.mnemonic]]
+        target = instruction.target & 0xFFFF
+        if condition == "JMP":
+            self.emit(f"regs[0] = {target}")
+        elif condition in _FLAG_JUMPS:
+            bit, taken = _FLAG_JUMPS[condition]
+            self.emit(
+                f"regs[0] = {target} if (regs[2] & {bit}) == {taken} "
+                f"else {self.next_pc}"
+            )
+        else:
+            execute = self.constant(f"jump{index}", compile_instruction(instruction))
+            self.emit(f"regs[0] = {self.next_pc}", f"{execute}(regs, bus)")
+
+    def format_i(self, index, instruction):
+        name, byte = instruction.mnemonic, instruction.byte
+        mask = 0xFF if byte else 0xFFFF
+        source = self.source(instruction.src, byte)
+        dst = instruction.dst
+        if dst.mode is AddressingMode.REGISTER:
+            register = dst.register
+            if name == "MOV":
+                self.emit(f"regs[{register}] = {source}")
+                return
+            alu = self.constant(f"alu{index}", _FORMAT_I_ALUS[name](byte))
+            dest = f"{self.register(register)} & {mask}"
+            if name in NO_WRITEBACK:
+                self.emit(f"regs[2] = {alu}({source}, {dest}, regs[2])[1]")
+            elif name == "XOR" and register == SR:
+                self.emit(
+                    f"s = {source}",
+                    f"d = {dest}",
+                    f"regs[2] = {alu}(s, d, 0)[0]",
+                    f"regs[2] = {alu}(s, d, regs[2])[1]",
+                )
+            else:
+                self.emit(
+                    f"r, regs[2] = {alu}({source}, {dest}, regs[2])",
+                    f"regs[{register}] = r",
+                )
+            return
+        self.emit(f"s = {source}")
+        if name == "MOV":
+            self.write(self.locate(index, dst), "s", byte)
+            return
+        alu = self.constant(f"alu{index}", _FORMAT_I_ALUS[name](byte))
+        self.emit(f"a = {self.locate(index, dst)}")
+        self.read("a", byte, "d")
+        if name in NO_WRITEBACK:
+            self.emit(f"regs[2] = {alu}(s, d, regs[2])[1]")
+        elif name == "XOR":
+            self.emit(f"r, f = {alu}(s, d, regs[2])")
+            self.write("a", "r", byte)
+            self.emit("regs[2] = f")
+        else:
+            self.emit(f"r, regs[2] = {alu}(s, d, regs[2])")
+            self.write("a", "r", byte)
+
+    def unary(self, index, instruction):
+        byte = instruction.byte
+        factory, word_write = _UNARY_ALUS[instruction.mnemonic]
+        alu = self.constant(f"alu{index}", factory(byte))
+        operand = instruction.src
+        if operand.mode is AddressingMode.REGISTER:
+            register = operand.register
+            mask = 0xFF if byte else 0xFFFF
+            self.emit(
+                f"r, regs[2] = {alu}({self.register(register)} & {mask}, regs[2])",
+                f"regs[{register}] = r",
+            )
+            return
+        self.emit(f"a = {self.locate(index, operand)}")
+        self.read("a", byte, "d")
+        self.emit(f"r, regs[2] = {alu}(d, regs[2])")
+        self.write("a", "r", byte and not word_write)
+
+    # -- operands -------------------------------------------------------------
+
+    def register(self, register):
+        """A register's value; the PC reads as the next instruction's
+        address, as :meth:`Cpu.step` leaves it before executing."""
+        return str(self.next_pc) if register == PC else f"regs[{register}]"
+
+    def source(self, operand, byte):
+        """Expression for a source operand's value (``_reader``)."""
+        mode = operand.mode
+        register = operand.register
+        mask = 0xFF if byte else 0xFFFF
+        if mode is AddressingMode.REGISTER:
+            return f"{self.register(register)} & {mask}"
+        if mode is AddressingMode.IMMEDIATE:
+            return str(operand.value & mask)
+        if mode is AddressingMode.INDEXED:
+            address = f"({self.register(register)} + {operand.value}) & 0xFFFF"
+        elif mode in (AddressingMode.ABSOLUTE, AddressingMode.SYMBOLIC):
+            address = str(operand.value & 0xFFFF)
+        else:
+            address = f"{self.register(register)} & 0xFFFF"
+        self.read(address, byte, "v")
+        if mode is AddressingMode.AUTOINC:
+            step = 2 if (not byte or register in (PC, SP)) else 1
+            self.emit(f"regs[{register}] = (regs[{register}] + {step}) & 0xFFFF")
+        return "v"
+
+    def locate(self, index, operand):
+        """Expression for a memory operand's address (``_locator``)."""
+        mode = operand.mode
+        register = operand.register
+        if mode is AddressingMode.INDEXED:
+            return f"({self.register(register)} + {operand.value}) & 0xFFFF"
+        if mode in (AddressingMode.ABSOLUTE, AddressingMode.SYMBOLIC):
+            return str(operand.value & 0xFFFF)
+        if mode in (AddressingMode.INDIRECT, AddressingMode.AUTOINC):
+            return f"{self.register(register)} & 0xFFFF"
+        self.mark()
+        return f"{self.constant(f'locate{index}', _locator(operand))}(regs)"
+
+    # -- memory and FRAM timing -----------------------------------------------
+
+    def mark(self):
+        """Record the current instruction as the one that may raise."""
+        if not self.marked:
+            self.emit(f"i = {self.index}")
+            self.marked = True
+
+    def contention(self):
+        """The contention stall of a FRAM access after the first one."""
+        if not self.penalty or self.touched is False:
+            return []
+        if self.touched:
+            return [f"stalls += {self.penalty}"]
+        return ["if t:", f"    stalls += {self.penalty}"]
+
+    def lookup(self, tag, index):
+        """A FRAM read-cache read of line *tag* in set *index* (both
+        expressions), as ``Bus._fram_read_timing`` does it: a hit on the
+        most recently used line inline, the rest in :func:`_lru_access`."""
+        lines = [f"ln = lines[{index}]", f"if ln and ln[-1] == {tag}:", "    hits += 1"]
+        if self.wait_states:
+            lines += [
+                f"elif lru_access(cache, ln, {tag}):",
+                f"    stalls += {self.wait_states}",
+            ]
+        else:
+            lines += ["else:", f"    lru_access(cache, ln, {tag})"]
+        return lines
+
+    def fetch(self, pc, words):
+        """Fetch timing of an instruction's *words*, all from FRAM."""
+        if self.penalty and words > 1:
+            self.emit(f"stalls += {self.penalty * (words - 1)}")
+        known_hits = 0
+        for address in range(pc, pc + 2 * words, 2):
+            tag = address >> self.shift
+            index = tag % self.sets
+            if self.mru.get(index) == tag:
+                known_hits += 1
+                continue
+            self.emit(*self.lookup(tag, index))
+            self.mru[index] = tag
+        if known_hits:
+            self.emit(f"hits += {known_hits}")
+
+    def read(self, address, byte, target):
+        """A data read of *address* into *target* (``Bus.read``):
+        SRAM and FRAM inline, everything else through the bus."""
+        value = "data[x]" if byte else "data[x] | data[x + 1] << 8"
+        self.mark()
+        self.emit(
+            f"x = {address}",
+            "k = kinds[x]" if byte else "k = None if x & 1 else kinds[x]",
+            "if k is SRAM:",
+            "    sram_reads += 1",
+            f"    {target} = {value}",
+            "elif k is FRAM:",
+            "    fram_reads += 1",
+        )
+        self.emit(*("    " + line for line in self.contention()))
+        self.emit("    t += 1", "    g = x >> " + str(self.shift))
+        self.emit(*("    " + line for line in self.lookup("g", f"g % {self.sets}")))
+        self.emit(
+            f"    {target} = {value}",
+            "else:",
+            f"    {target} = bus.read(x, {byte})",
+        )
+        self.after_data_access()
+
+    def write(self, address, value, byte):
+        """A data write (``Bus.write``); sets ``stop`` when the store
+        lands in this block's bytes or goes through the bus (MMIO)."""
+        if byte:
+            store = ["data[x] = v & 0xFF"]
+        else:
+            store = ["data[x] = v & 0xFF", "data[x + 1] = v >> 8 & 0xFF"]
+        inside = f"stop = {self.start} <= x < {self.end}"
+        self.mark()
+        self.emit(
+            f"x = {address}",
+            f"v = {value}",
+            "k = kinds[x]" if byte else "k = None if x & 1 else kinds[x]",
+            "if k is SRAM:",
+            "    sram_writes += 1",
+            *("    " + line for line in store),
+            "    " + inside,
+            "elif k is FRAM:",
+            "    fram_writes += 1",
+        )
+        if self.wait_states:
+            self.emit(f"    stalls += {self.wait_states}")
+        self.emit(*("    " + line for line in self.contention()))
+        self.emit(
+            "    t += 1",
+            f"    g = x >> {self.shift}",
+            f"    ln = lines[g % {self.sets}]",
+            "    if g in ln:",
+            "        ln.remove(g)",
+            "        invalidated += 1",
+            *("    " + line for line in store),
+            "    " + inside,
+            "else:",
+            f"    bus.write(x, v, {byte})",
+            "    stop = True",
+        )
+        self.stored = True
+        self.after_data_access()
+
+    def after_data_access(self):
+        """A data access may have touched FRAM and any cache set."""
+        if self.touched is False:
+            self.touched = None
+        self.mru.clear()

@@ -71,6 +71,22 @@ _CYCLE_SLOTS, _CYCLE_ORDER = _table(
 )
 
 
+def block_slots(attribution, region_kind):
+    """Flat-list indexes that compiled code adds a block run's tallies to:
+    the fetch slot of *region_kind*; the SRAM read, SRAM write, FRAM read
+    and FRAM write slots; the instruction slot; and the cycle slot."""
+    return (
+        _ACCESS_SLOTS[(attribution, region_kind, FETCH)],
+        *(
+            _ACCESS_SLOTS[(attribution, kind, access)]
+            for kind in (RegionKind.SRAM, RegionKind.FRAM)
+            for access in (READ, WRITE)
+        ),
+        _INSTRUCTION_SLOTS[(attribution, region_kind)],
+        _CYCLE_SLOTS[attribution],
+    )
+
+
 class TallyView(Mapping):
     """A live, read-only mapping over one of the flat tally lists.
 

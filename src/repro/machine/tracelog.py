@@ -11,6 +11,7 @@ window. It can be attached and detached at any point during a run.
 from collections import deque
 from dataclasses import dataclass
 
+from repro.machine.probe import Patches
 from repro.machine.trace import FETCH, READ, WRITE
 
 
@@ -49,6 +50,7 @@ class TraceLog:
         self.address_range = address_range
         self.sequence = 0
         self._original = None
+        self._patches = None
 
     # -- attachment -------------------------------------------------------------
 
@@ -76,18 +78,22 @@ class TraceLog:
             self._record(WRITE, address)
             return self._original[3](address, value, byte=byte)
 
-        bus.fetch_word = fetch_word
-        bus.account_fetch = account_fetch
-        bus.read = read
-        bus.write = write
+        self._patches = Patches(
+            [
+                (bus, "fetch_word", fetch_word),
+                (bus, "account_fetch", account_fetch),
+                (bus, "read", read),
+                (bus, "write", write),
+            ]
+        )
         return self
 
     def detach(self):
-        """Stop logging and restore the bus."""
+        """Stop logging and restore the bus (see :mod:`repro.machine.probe`)."""
         if self._original is None:
             return self
-        bus = self.bus
-        bus.fetch_word, bus.account_fetch, bus.read, bus.write = self._original
+        self._patches.undo()
+        self._patches = None
         self._original = None
         return self
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.isa.registers import PC, SP
 from repro.machine.memory import RegionKind
+from repro.machine.probe import Patches
 from repro.machine.trace import Attribution
 
 
@@ -139,7 +140,7 @@ class Collector:
         self.root = CallNode("<root>")
         self._stack = []
         self._original_step = None
-        self._original_bus = None
+        self._patches = None
         self._finished = False
         # Bus traffic tallies, diffed per instruction.
         self._fram_reads = 0
@@ -153,16 +154,16 @@ class Collector:
         if self._original_step is not None:
             return self
         self._original_step = self.cpu.step
-        self._wrap_bus()
-        self.cpu.step = self._step
+        self._patches = Patches([*self._bus_wrappers(), (self.cpu, "step", self._step)])
         return self
 
     def detach(self):
+        """Restore the CPU and bus (see :mod:`repro.machine.probe`)."""
         if self._original_step is None:
             return self
-        del self.cpu.step  # restore the class method
+        self._patches.undo()
+        self._patches = None
         self._original_step = None
-        self._unwrap_bus()
         return self
 
     def __enter__(self):
@@ -173,17 +174,17 @@ class Collector:
         self.finish()
         return False
 
-    def _wrap_bus(self):
+    def _bus_wrappers(self):
+        """``(bus, name, wrapper)`` for each bus method the collector taps."""
         bus = self.bus
         kinds = bus._kinds
         fram, sram = RegionKind.FRAM, RegionKind.SRAM
-        self._original_bus = (
+        orig_fetch, orig_account, orig_read, orig_write = (
             bus.fetch_word,
             bus.account_fetch,
             bus.read,
             bus.write,
         )
-        orig_fetch, orig_account, orig_read, orig_write = self._original_bus
 
         def fetch_word(address):
             kind = kinds[address & 0xFFFF]
@@ -217,17 +218,12 @@ class Collector:
                 self._sram += 1
             return orig_write(address, value, byte=byte)
 
-        bus.fetch_word = fetch_word
-        bus.account_fetch = account_fetch
-        bus.read = read
-        bus.write = write
-
-    def _unwrap_bus(self):
-        if self._original_bus is None:
-            return
-        bus = self.bus
-        bus.fetch_word, bus.account_fetch, bus.read, bus.write = self._original_bus
-        self._original_bus = None
+        return [
+            (bus, "fetch_word", fetch_word),
+            (bus, "account_fetch", account_fetch),
+            (bus, "read", read),
+            (bus, "write", write),
+        ]
 
     # -- the wrapped step ----------------------------------------------------------
 

@@ -36,6 +36,7 @@ from repro.blockcache.runtime import BlockCacheRuntime
 from repro.datacache.runtime import DataCacheRuntime
 from repro.isa.registers import PC
 from repro.machine.cpu import RunawayError
+from repro.machine.probe import Patches
 from repro.machine.trace import Attribution
 from repro.replay.schema import (
     ACC_BYTE,
@@ -86,7 +87,7 @@ class _Recorder:
         self._cur_acc = None
         self._cur_pc = 0
         self._cur_words = 0
-        self._saved = None
+        self._patches = None
         self._saved_hook = None
 
         self._swapram = kind == SWAPRAM
@@ -158,14 +159,6 @@ class _Recorder:
         orig_read = bus.read
         orig_write = bus.write
         orig_record = counters.record_instruction
-        self._saved = (
-            orig_begin,
-            orig_fetch,
-            orig_account,
-            orig_read,
-            orig_write,
-            orig_record,
-        )
 
         def begin_instruction():
             if bus.attribution is app:
@@ -248,12 +241,16 @@ class _Recorder:
                 )
                 recorder._cur_acc = None
 
-        bus.begin_instruction = begin_instruction
-        bus.fetch_word = fetch_word
-        bus.account_fetch = account_fetch
-        bus.read = read
-        bus.write = write
-        counters.record_instruction = record_instruction
+        self._patches = Patches(
+            [
+                (bus, "begin_instruction", begin_instruction),
+                (bus, "fetch_word", fetch_word),
+                (bus, "account_fetch", account_fetch),
+                (bus, "read", read),
+                (bus, "write", write),
+                (counters, "record_instruction", record_instruction),
+            ]
+        )
 
         if self._hook_addr is not None:
             hooks = self.board.cpu.hooks
@@ -278,18 +275,10 @@ class _Recorder:
         return self
 
     def detach(self):
-        if self._saved is None:
+        if self._patches is None:
             return self
-        bus = self.bus
-        (
-            bus.begin_instruction,
-            bus.fetch_word,
-            bus.account_fetch,
-            bus.read,
-            bus.write,
-            self.counters.record_instruction,
-        ) = self._saved
-        self._saved = None
+        self._patches.undo()
+        self._patches = None
         if self._saved_hook is not None:
             self.board.cpu.hooks[self._hook_addr] = self._saved_hook
             self._saved_hook = None

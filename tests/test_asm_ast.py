@@ -1,5 +1,7 @@
 """Assembly AST utilities."""
 
+from copy import deepcopy
+
 import pytest
 
 from repro.asm.ast import (
@@ -7,11 +9,16 @@ from repro.asm.ast import (
     Function,
     Label,
     Program,
+    SourceComment,
     defined_labels,
     find_label_index,
 )
+from repro.bench import QUICK_NAMES, get_benchmark
+from repro.difftest.generator import generate_program
 from repro.isa.instructions import Instruction
 from repro.isa.operands import imm, reg
+from repro.toolchain import PLANS, compile_program
+from repro.toolchain.linker import link
 
 
 def small_program():
@@ -48,6 +55,56 @@ def test_clone_is_deep():
     clone.sections["data"].clear()
     assert len(program.function("main").items) == 3
     assert program.sections["data"]
+
+
+def test_clone_mutated_everywhere_leaves_the_original_untouched():
+    program = small_program()
+    program.add_data("rodata", "table", DataItem("byte", [1, 2, 3]))
+    program.function("main").emit(SourceComment("tail"))
+    before = str(program)
+    clone = program.clone()
+    for function in clone.functions:
+        function.name += "_x"
+        function.blacklisted = True
+        for item in function.items:
+            if isinstance(item, Label):
+                item.name += "_x"
+            elif isinstance(item, SourceComment):
+                item.text += "_x"
+        function.items.append(Label("extra"))
+    clone.functions.append(Function("added"))
+    for items in clone.sections.values():
+        for item in items:
+            if isinstance(item, Label):
+                item.name += "_x"
+            elif isinstance(item, DataItem):
+                item.values.append(9)
+                item.kind = "word"
+        items.append(DataItem("space", [4]))
+    clone.sections["extra"] = []
+    clone.entry = "other"
+    assert str(program) == before
+    assert program.entry == "main"
+    assert set(program.sections) == {"rodata", "data", "bss"}
+
+
+@pytest.mark.parametrize(
+    "source_id",
+    [*QUICK_NAMES, *(f"gen{seed}" for seed in range(1, 9))],
+)
+def test_clone_links_like_a_deep_copy(source_id):
+    if source_id.startswith("gen"):
+        source = generate_program(int(source_id[3:])).render()
+    else:
+        source = get_benchmark(source_id).source
+    program = compile_program(source)
+    clone = program.clone()
+    assert str(clone) == str(program)
+    images = [
+        link(copy, PLANS["unified"]).image for copy in (clone, deepcopy(program))
+    ]
+    assert images[0].chunks == images[1].chunks
+    assert images[0].symbols == images[1].symbols
 
 
 def test_defined_labels():

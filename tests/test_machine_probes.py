@@ -7,6 +7,9 @@ the step loop look up ``bus.read``/``write``/``fetch_word``/
 probe after the decode cache is warm and check it misses nothing.
 """
 
+import pytest
+
+from repro.machine.probe import ProbeOrderError
 from repro.machine.tracelog import TraceLog
 from repro.obs.collector import Collector
 from repro.obs.funcmap import build_function_map
@@ -96,3 +99,54 @@ def test_obs_collector_attached_mid_run_counts_every_instruction():
     profiled = sum(profile.instructions for profile in collector.profiles.values())
     # The step that attached the collector ran unwrapped.
     assert profiled == board.counters.total_instructions - attached_at[0] - 1 > 0
+
+
+def instance_overrides(board):
+    """Method names shadowed on the bus, counters and CPU instances."""
+    return {
+        name
+        for target in (board.bus, board.counters, board.cpu)
+        for name, value in vars(target).items()
+        if callable(value) and callable(getattr(type(target), name, None))
+    }
+
+
+def test_detach_in_order_leaves_no_instance_attribute():
+    board = build()
+    kind, _, runtime = classify(board)
+    probes = [
+        TraceLog(board.bus),
+        Collector(board, build_function_map(board)),
+        _Recorder(kind, board, runtime),
+    ]
+    for probe in probes:
+        probe.attach()
+        assert instance_overrides(board)
+        probe.detach()
+        assert not instance_overrides(board)
+    for probe in probes:
+        probe.attach()
+    for probe in reversed(probes):
+        probe.detach()
+    assert not instance_overrides(board)
+    assert board.cpu._plain()
+
+
+def test_detach_out_of_order_raises_and_changes_nothing():
+    board = build()
+    log = TraceLog(board.bus, capacity=1_000_000).attach()
+    collector = Collector(board, build_function_map(board)).attach()
+    wrapped = {name: vars(board.bus)[name] for name in ("read", "write")}
+    with pytest.raises(ProbeOrderError):
+        log.detach()
+    assert {name: vars(board.bus)[name] for name in wrapped} == wrapped
+    board.run()
+    collector.detach()
+    recorded = len(log.events)
+    assert recorded
+    log.detach()
+    assert not instance_overrides(board)
+    board.cpu.reset(board.image.entry)
+    board.bus.halted = False
+    board.run()
+    assert len(log.events) == recorded  # a detached log records nothing
